@@ -203,16 +203,15 @@ double measured_events_per_sec(sim::EventQueue& q) {
   return kEvents / timer.elapsed_s();
 }
 
-// The TCP RTO pattern: every "ACK" cancels the pending timer and arms a
-// new one; only occasionally does a timer actually fire. Exercises
-// cancel() and the lazy reclamation path.
+// The TCP RTO pattern: every "ACK" re-arms the timer further out; only
+// occasionally does it actually fire. Exercises Timer::arm and the
+// re-keying of an entry that surfaces before its deadline.
 double measured_rto_churn_per_sec(sim::EventQueue& q) {
   constexpr int kOps = 2'000'000;
   bench::WallTimer timer;
-  sim::EventHandle rto;
+  sim::Timer rto(q, []() {});
   for (int i = 0; i < kOps; ++i) {
-    rto.cancel();
-    rto = q.schedule_in(100, []() {});
+    rto.arm_in(100);
     if (i % 64 == 63) q.step();
   }
   q.run();

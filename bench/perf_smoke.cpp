@@ -46,10 +46,9 @@ double events_per_sec(sim::EventQueue& q) {
 double rto_churn_per_sec(sim::EventQueue& q) {
   constexpr int kOps = 500'000;
   bench::WallTimer timer;
-  sim::EventHandle rto;
+  sim::Timer rto(q, []() {});
   for (int i = 0; i < kOps; ++i) {
-    rto.cancel();
-    rto = q.schedule_in(100, []() {});
+    rto.arm_in(100);
     if (i % 64 == 63) q.step();
   }
   q.run();

@@ -15,10 +15,7 @@ SimTime Link::transmit(const Packet& pkt) {
   if (lost) {
     ++lost_pkts_;
   } else if (sink_ != nullptr) {
-    sim_.at(done + delay_, [this, pkt]() {
-      ++delivered_pkts_;
-      sink_->on_packet(pkt);
-    });
+    deliveries_.push(done + delay_) = pkt;
   }
   return done;
 }
@@ -27,31 +24,24 @@ void OutputPort::enqueue(const Packet& pkt) {
   if (!transmitting_) {
     // Link idle: the packet still formally passes through the queue so
     // enqueue/dequeue statistics stay consistent.
-    if (queue_.try_enqueue(pkt, sim_.now())) {
-      auto entry = queue_.dequeue();
-      assert(entry.has_value());
-      start_transmission(std::move(*entry));
-    }
+    if (queue_.try_enqueue(pkt, sim_.now())) start_transmission();
     return;
   }
   queue_.try_enqueue(pkt, sim_.now());  // drop-tail on failure
 }
 
-void OutputPort::start_transmission(DropTailQueue::Entry entry) {
+void OutputPort::start_transmission() {
+  assert(!queue_.empty());
+  on_wire_ = *queue_.dequeue();
   transmitting_ = true;
-  const SimTime done = link_.transmit(entry.pkt);
-  const SimTime queued_at = entry.enqueued_at;
-  sim_.at(done, [this, pkt = std::move(entry.pkt), queued_at]() {
-    for (const auto& hook : egress_hooks_) hook(pkt, sim_.now() - queued_at);
-    on_transmit_done();
-  });
+  tx_done_.arm(link_.transmit(on_wire_.pkt));
 }
 
 void OutputPort::on_transmit_done() {
+  const SimTime queue_delay = sim_.now() - on_wire_.enqueued_at;
+  for (const auto& hook : egress_hooks_) hook(on_wire_.pkt, queue_delay);
   transmitting_ = false;
-  if (auto next = queue_.dequeue()) {
-    start_transmission(std::move(*next));
-  }
+  if (!queue_.empty()) start_transmission();
 }
 
 }  // namespace p4s::net

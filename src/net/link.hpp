@@ -22,7 +22,13 @@ class Link {
   /// `bits_per_second` must be > 0. The sink may be set after construction
   /// (topology wiring is two-phase).
   Link(sim::Simulation& sim, std::uint64_t bits_per_second, SimTime delay)
-      : sim_(sim), rate_bps_(bits_per_second), delay_(delay) {}
+      : sim_(sim),
+        rate_bps_(bits_per_second),
+        delay_(delay),
+        deliveries_(sim.events(), [this](const Packet& pkt) {
+          ++delivered_pkts_;
+          sink_->on_packet(pkt);
+        }) {}
 
   void set_sink(PacketSink& sink) { sink_ = &sink; }
 
@@ -40,7 +46,8 @@ class Link {
   /// Begin serializing `pkt` now; returns the time serialization finishes.
   /// The caller (OutputPort) guarantees one transmission at a time.
   /// Delivery to the sink happens at completion + propagation delay unless
-  /// the loss gate fires.
+  /// the loss gate fires. Serialized transmissions and a constant delay
+  /// make deliveries FIFO, so they wait in one event lane.
   SimTime transmit(const Packet& pkt);
 
   std::uint64_t delivered_pkts() const { return delivered_pkts_; }
@@ -54,6 +61,7 @@ class Link {
   PacketSink* sink_ = nullptr;
   std::uint64_t delivered_pkts_ = 0;
   std::uint64_t lost_pkts_ = 0;
+  sim::Lane<Packet> deliveries_;
 };
 
 /// Queue + transmitter attached to a Link. PacketSink-compatible so a
@@ -62,7 +70,10 @@ class OutputPort : public PacketSink {
  public:
   OutputPort(sim::Simulation& sim, std::uint64_t queue_capacity_bytes,
              Link& link)
-      : sim_(sim), queue_(queue_capacity_bytes), link_(link) {}
+      : sim_(sim),
+        queue_(queue_capacity_bytes),
+        link_(link),
+        tx_done_(sim.events(), [this]() { on_transmit_done(); }) {}
 
   void on_packet(const Packet& pkt) override { enqueue(pkt); }
 
@@ -87,13 +98,16 @@ class OutputPort : public PacketSink {
   Link& link() { return link_; }
 
  private:
-  void start_transmission(DropTailQueue::Entry entry);
+  void start_transmission();
   void on_transmit_done();
 
   sim::Simulation& sim_;
   DropTailQueue queue_;
   Link& link_;
   bool transmitting_ = false;
+  // The frame being serialized (at most one) and its completion.
+  DropTailQueue::Entry on_wire_;
+  sim::Timer tx_done_;
   std::vector<std::function<void(const Packet&, SimTime)>> egress_hooks_;
 };
 

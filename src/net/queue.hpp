@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "net/packet.hpp"
+#include "util/ring.hpp"
 #include "util/units.hpp"
 
 namespace p4s::net {
@@ -19,7 +19,7 @@ class DropTailQueue {
 
   struct Entry {
     Packet pkt;
-    SimTime enqueued_at;
+    SimTime enqueued_at = 0;
   };
 
   struct Stats {
@@ -54,7 +54,7 @@ class DropTailQueue {
  private:
   std::uint64_t capacity_bytes_;
   std::uint64_t occupancy_bytes_ = 0;
-  std::deque<Entry> entries_;
+  util::Ring<Entry> entries_;
   Stats stats_;
 };
 

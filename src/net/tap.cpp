@@ -1,7 +1,5 @@
 #include "net/tap.hpp"
 
-#include <cassert>
-
 namespace p4s::net {
 
 void MirrorSink::on_mirrored_bytes(std::span<const std::uint8_t> bytes,
@@ -45,26 +43,10 @@ void OpticalTapPair::mirror(const Packet& pkt, MirrorPoint point) {
     boundary_->push(frame);
     return;
   }
-  PendingMirror& slot = ring_push();
-  slot.pkt = pkt;
-  slot.point = point;
-  slot.len = serialize_shared(pkt, slot.bytes);
-  // The delay is the same for every copy, so deliveries pop in FIFO
-  // order; the event captures only `this` (fits std::function's inline
-  // storage — no per-copy closure allocation).
-  sim_.after(tap_latency_, [this]() { deliver_front(); });
-}
-
-void OpticalTapPair::deliver_front() {
-  assert(ring_count_ > 0);
-  PendingMirror& front = ring_[ring_head_];
-  ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
-  --ring_count_;
-  // `front` stays valid during delivery: pushes from inside the sink go
-  // to other slots (the ring only grows when full, and we just freed one).
-  sink_.on_mirrored_wire(
-      front.pkt, std::span<const std::uint8_t>(front.bytes.data(), front.len),
-      front.point);
+  PendingMirror& copy = deliveries_.push(sim_.now() + tap_latency_);
+  copy.pkt = pkt;
+  copy.point = point;
+  copy.len = serialize_shared(pkt, copy.bytes);
 }
 
 std::uint8_t OpticalTapPair::serialize_shared(
@@ -90,22 +72,6 @@ std::uint8_t OpticalTapPair::serialize_shared(
   }
   std::copy_n(entry.bytes.data(), entry.len, out.data());
   return entry.len;
-}
-
-OpticalTapPair::PendingMirror& OpticalTapPair::ring_push() {
-  if (ring_count_ == ring_.size()) ring_grow();
-  PendingMirror& slot = ring_[(ring_head_ + ring_count_) & (ring_.size() - 1)];
-  ++ring_count_;
-  return slot;
-}
-
-void OpticalTapPair::ring_grow() {
-  std::vector<PendingMirror> bigger(ring_.empty() ? 64 : ring_.size() * 2);
-  for (std::size_t i = 0; i < ring_count_; ++i) {
-    bigger[i] = ring_[(ring_head_ + i) & (ring_.size() - 1)];
-  }
-  ring_ = std::move(bigger);
-  ring_head_ = 0;
 }
 
 }  // namespace p4s::net

@@ -8,14 +8,14 @@
 // equal latencies are what let the P4 program recover the queuing delay
 // from the two copies' arrival-time difference.
 //
-// Hot-path design: a mirror copy is written into a reusable ring of
-// pending deliveries (no per-copy closure capturing the packet) and the
-// delivery event captures only `this` — the constant TAP latency makes
-// deliveries strictly FIFO. Each packet's wire bytes are serialized once
-// and shared between its ingress and egress copies through a small
-// uid-keyed cache; the copies differ only in the TTL the core switch
-// decremented, which is patched in place with an incremental checksum
-// update instead of re-serializing.
+// Hot-path design: the constant TAP latency makes deliveries strictly
+// FIFO, so a mirror copy is written straight into the pair's event lane
+// (sim::Lane: a reusable ring whose head alone sits in the event heap —
+// no per-copy closure or heap entry). Each packet's wire bytes are
+// serialized once and shared between its ingress and egress copies
+// through a small uid-keyed cache; the copies differ only in the TTL the
+// core switch decremented, which is patched in place with an incremental
+// checksum update instead of re-serializing.
 #pragma once
 
 #include <array>
@@ -93,7 +93,15 @@ class OpticalTapPair {
   /// same for both mirror points, so it cancels in delay differences.
   OpticalTapPair(sim::Simulation& sim, MirrorSink& sink,
                  SimTime tap_latency = units::microseconds(1))
-      : sim_(sim), sink_(sink), tap_latency_(tap_latency) {}
+      : sim_(sim),
+        sink_(sink),
+        tap_latency_(tap_latency),
+        deliveries_(sim.events(), [this](const PendingMirror& copy) {
+          sink_.on_mirrored_wire(
+              copy.pkt,
+              std::span<const std::uint8_t>(copy.bytes.data(), copy.len),
+              copy.point);
+        }) {}
 
   /// Attach the ingress-side TAP to a switch (mirrors every arrival) and
   /// the egress-side TAP to one of its output ports (mirrors every
@@ -130,12 +138,8 @@ class OpticalTapPair {
   static constexpr std::size_t kCacheSlots = 1024;
 
   void mirror(const Packet& pkt, MirrorPoint point);
-  void deliver_front();
   std::uint8_t serialize_shared(const Packet& pkt,
                                 std::array<std::uint8_t, kMaxHeaderBytes>& out);
-
-  PendingMirror& ring_push();
-  void ring_grow();
 
   sim::Simulation& sim_;
   MirrorSink& sink_;
@@ -144,14 +148,8 @@ class OpticalTapPair {
   std::uint64_t boundary_seq_ = 0;
   std::uint64_t mirrored_pkts_ = 0;
   std::uint64_t cache_hits_ = 0;
-
-  // Growable power-of-two ring of pending deliveries; slots (and their
-  // byte buffers) are reused, so steady state allocates nothing.
-  std::vector<PendingMirror> ring_;
-  std::size_t ring_head_ = 0;
-  std::size_t ring_count_ = 0;
-
   std::vector<CacheEntry> cache_ = std::vector<CacheEntry>(kCacheSlots);
+  sim::Lane<PendingMirror> deliveries_;
 };
 
 }  // namespace p4s::net

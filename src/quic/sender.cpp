@@ -14,7 +14,8 @@ QuicSender::QuicSender(sim::Simulation& sim, net::Host& host,
       src_port_(src_port),
       dst_port_(dst_port),
       config_(config),
-      rtt_(config.rtt) {
+      rtt_(config.rtt),
+      rto_timer_(sim.events(), [this]() { on_rto_expired(); }) {
   unbounded_ = config_.bytes_to_send == 0;
   target_bytes_ = unbounded_ ? ~0ULL : config_.bytes_to_send;
   host_.bind(net::Protocol::kUdp, src_port_,
@@ -22,7 +23,6 @@ QuicSender::QuicSender(sim::Simulation& sim, net::Host& host,
 }
 
 QuicSender::~QuicSender() {
-  rto_timer_.cancel();
   host_.unbind(net::Protocol::kUdp, src_port_);
 }
 
@@ -197,10 +197,7 @@ void QuicSender::maybe_finish() {
   if (on_complete_) on_complete_();
 }
 
-void QuicSender::arm_rto() {
-  rto_timer_.cancel();
-  rto_timer_ = sim_.after(rtt_.rto(), [this]() { on_rto_expired(); });
-}
+void QuicSender::arm_rto() { rto_timer_.arm_in(rtt_.rto()); }
 
 void QuicSender::on_rto_expired() {
   if (inflight_.empty() || state_ == State::kClosed) return;

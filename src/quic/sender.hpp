@@ -151,7 +151,7 @@ class QuicSender {
   bool last_sent_spin_ = false;
   bool any_sent_short_ = false;
 
-  sim::EventHandle rto_timer_;
+  sim::Timer rto_timer_;
   std::function<void()> on_complete_;
 };
 

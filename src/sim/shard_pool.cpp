@@ -80,7 +80,7 @@ void ShardPool::barrier(std::size_t shard, SimTime grant) {
   wake_worker(s.worker);  // in case it parked between publish and here
   main_cv_.wait(lock, [&]() {
     return failed_.load(std::memory_order_acquire) ||
-           s.watermark.load(std::memory_order_acquire) >= grant;
+           s.watermark.load(std::memory_order_seq_cst) >= grant;
   });
   main_waiting_.store(false, std::memory_order_seq_cst);
   lock.unlock();
@@ -127,7 +127,12 @@ bool ShardPool::pump_one(ShardState& s) {
   if (!behind && !s.shard->has_boundary_backlog()) return false;
   s.shard->advance_to(grant);
   if (behind) {
-    s.watermark.store(grant, std::memory_order_release);
+    // seq_cst, not release: this store and notify_main()'s load of
+    // main_waiting_ mirror barrier()'s store of main_waiting_ and load of
+    // the watermark. With a weaker store the two sides can each miss the
+    // other's write (store->load reordering) and the main thread sleeps
+    // forever.
+    s.watermark.store(grant, std::memory_order_seq_cst);
     notify_main();
   }
   return true;

@@ -16,9 +16,12 @@
 // *watermark* ("executed through") back; the main timeline blocks on
 // the watermark only at read barriers (a control plane about to read
 // its switch's registers, an end-of-run sync). Between barriers main
-// and workers run fully overlapped. Grant and watermark stores carry
-// release/acquire ordering, so a barrier is also the happens-before
-// edge that lets the main thread read shard-owned state race-free.
+// and workers run fully overlapped. Grant and watermark stores are
+// seq_cst: each pairs with a flag (a worker's `parked`, the main
+// thread's `main_waiting_`) in a store-then-load handshake that only a
+// single total order makes wakeup-safe. A barrier is also the
+// happens-before edge that lets the main thread read shard-owned state
+// race-free.
 //
 // Determinism: a shard's execution depends only on its boundary stream
 // (ordered by (timestamp, seq) — see BoundaryQueue) and its own queue,

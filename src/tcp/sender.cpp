@@ -23,7 +23,8 @@ TcpSender::TcpSender(sim::Simulation& sim, net::Host& host,
       dst_port_(dst_port),
       config_(std::move(config)),
       cc_(make_congestion_control(config_.congestion_control)),
-      rtt_(config_.rtt) {
+      rtt_(config_.rtt),
+      rto_timer_(sim.events(), [this]() { on_rto_expired(); }) {
   cc_->init(config_.mss,
             static_cast<std::uint64_t>(config_.initial_cwnd_segments) *
                 config_.mss);
@@ -35,7 +36,6 @@ TcpSender::TcpSender(sim::Simulation& sim, net::Host& host,
 }
 
 TcpSender::~TcpSender() {
-  cancel_rto();
   host_.unbind(net::Protocol::kTcp, src_port_);
 }
 
@@ -87,7 +87,7 @@ void TcpSender::handle_syn_ack(const net::Packet& pkt) {
   snd_nxt_ = isn_ + 1;
   una_off_ = 0;
   rwnd_ = pkt.tcp().window;
-  cancel_rto();
+  rto_timer_.cancel();
   // The handshake RTT seeds the estimator (a retransmitted SYN would
   // inflate this one sample; it washes out).
   rtt_.add_sample(sim_.now() - stats_.start_time);
@@ -210,7 +210,7 @@ void TcpSender::handle_ack(const net::Packet& pkt) {
 
   // FIN acknowledgment.
   if (state_ == State::kFinSent && ack == fin_seq_ + 1) {
-    cancel_rto();
+    rto_timer_.cancel();
     finish();
     return;
   }
@@ -295,7 +295,7 @@ void TcpSender::on_new_ack(std::uint32_t ack, std::uint64_t acked_bytes,
   if (flight_bytes() > 0 || (fin_sent_ && state_ == State::kFinSent)) {
     arm_rto();
   } else {
-    cancel_rto();
+    rto_timer_.cancel();
   }
 }
 
@@ -471,7 +471,7 @@ void TcpSender::send_segment(std::uint32_t seq, std::uint32_t len,
     rtt_sample_sent_at_ = sim_.now();
   }
   host_.send(std::move(pkt));
-  if (!rto_timer_.pending()) arm_rto();
+  if (!rto_timer_.armed()) arm_rto();
 }
 
 void TcpSender::maybe_send_fin() {
@@ -493,12 +493,7 @@ void TcpSender::maybe_send_fin() {
 
 // ---- Timers ----------------------------------------------------------------
 
-void TcpSender::arm_rto() {
-  cancel_rto();
-  rto_timer_ = sim_.after(rtt_.rto(), [this]() { on_rto_expired(); });
-}
-
-void TcpSender::cancel_rto() { rto_timer_.cancel(); }
+void TcpSender::arm_rto() { rto_timer_.arm_in(rtt_.rto()); }
 
 void TcpSender::on_rto_expired() {
   if (state_ == State::kClosed) return;

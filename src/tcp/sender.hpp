@@ -113,7 +113,6 @@ class TcpSender {
   void send_segment(std::uint32_t seq, std::uint32_t len, bool retransmit);
   void maybe_send_fin();
   void arm_rto();
-  void cancel_rto();
   void on_rto_expired();
   void refill_tokens();
   void schedule_token_wakeup(std::uint32_t needed);
@@ -195,7 +194,7 @@ class TcpSender {
   SimTime cc_tokens_refilled_at_ = 0;
   bool cc_wakeup_armed_ = false;
 
-  sim::EventHandle rto_timer_;
+  sim::Timer rto_timer_;
   std::function<void()> on_complete_;
 };
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -22,6 +23,7 @@
 
 #include "core/monitoring_system.hpp"
 #include "sim/boundary_queue.hpp"
+#include "sim/random.hpp"
 #include "sim/shard_pool.hpp"
 
 namespace p4s {
@@ -333,6 +335,49 @@ TEST(ShardPool, BarrierWaitsForWatermark) {
   // Smaller grants are ignored: the watermark never regresses.
   pool.barrier_all(10);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_GE(pool.watermark(i), 90000u);
+  pool.stop();
+}
+
+// A shard whose work lasts about as long as the barrier's spin phase
+// (jittered from half to one and a half times it), so the main thread
+// keeps giving up spinning just as the worker publishes its watermark:
+// the window in which the worker's watermark store and its check for a
+// waiting main thread can race the main thread's own flag-then-check.
+struct SpinShard : sim::ShardPool::Shard {
+  std::chrono::nanoseconds work{0};
+  sim::Rng rng{1};  // worker-owned
+  void advance_to(SimTime) override {
+    const auto busy = std::chrono::nanoseconds(static_cast<std::int64_t>(
+        static_cast<double>(work.count()) * (0.5 + rng.next_double())));
+    const auto until = std::chrono::steady_clock::now() + busy;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+  bool has_boundary_backlog() const override { return false; }
+};
+
+// A lost wakeup leaves the main thread asleep forever; the test's ctest
+// TIMEOUT (tests/CMakeLists.txt) turns that hang into a failure.
+TEST(ShardPool, BarrierStressNeverLosesAWakeup) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 256; ++i) std::this_thread::yield();
+  const auto spin = std::chrono::steady_clock::now() - t0;
+
+  sim::ShardPool pool(sim::ShardPool::Config{3, 0});
+  SpinShard shards[3];
+  for (std::size_t i = 0; i < 3; ++i) {
+    shards[i].work = spin;
+    shards[i].rng = sim::Rng(i + 1);
+    pool.add_shard(shards[i]);
+  }
+  pool.start();
+  for (SimTime t = 1; t <= 3000; ++t) {
+    const std::size_t shard = t % 3;
+    pool.barrier(shard, t);
+    ASSERT_GE(pool.watermark(shard), t);
+  }
+  // The blocking path, where the race lives, was taken.
+  EXPECT_GT(pool.barrier_waits(), 0u);
   pool.stop();
 }
 

@@ -2,10 +2,13 @@
 // invariants that must hold for arbitrary packets, sequences and loads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "controlplane/resilient_sink.hpp"
 #include "net/fault_injector.hpp"
@@ -208,21 +211,34 @@ TEST_P(EventOrderProperty, FiresInNonDecreasingTimeOrder) {
   sim::Rng rng(GetParam());
   sim::EventQueue q;
   std::vector<SimTime> fired;
-  std::vector<sim::EventHandle> handles;
+  std::vector<std::unique_ptr<sim::Timer>> timers;
+  std::vector<SimTime> deadline;
   for (int i = 0; i < 500; ++i) {
-    const SimTime t = rng.next_below(100'000);
-    handles.push_back(q.schedule_at(t, [&fired, &q]() {
-      fired.push_back(q.now());
-    }));
+    timers.push_back(std::make_unique<sim::Timer>(
+        q, [&fired, &q]() { fired.push_back(q.now()); }));
+    deadline.push_back(rng.next_below(100'000));
+    timers.back()->arm(deadline.back());
   }
-  // Cancel a random third.
-  for (auto& h : handles) {
-    if (rng.chance(0.33)) h.cancel();
+  // Re-arm a random third (earlier or later) and cancel another third.
+  std::vector<SimTime> expected;
+  for (std::size_t i = 0; i < timers.size(); ++i) {
+    const double r = rng.next_double();
+    if (r < 0.33) {
+      deadline[i] = rng.next_below(100'000);
+      timers[i]->arm(deadline[i]);
+    } else if (r < 0.66) {
+      timers[i]->cancel();
+      continue;
+    }
+    expected.push_back(deadline[i]);
   }
   q.run();
   for (std::size_t i = 1; i < fired.size(); ++i) {
     EXPECT_LE(fired[i - 1], fired[i]);
   }
+  // Each live timer fired once, at its last deadline.
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(fired, expected);
   EXPECT_EQ(fired.size(), q.executed_events());
 }
 

@@ -2,11 +2,18 @@
 // deterministic PRNG).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
+#include "net/host.hpp"
+#include "net/link.hpp"
+#include "net/switch.hpp"
+#include "net/tap.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
@@ -125,26 +132,31 @@ TEST(EventQueue, SchedulingIntoPastThrows) {
 TEST(EventQueue, CancelPreventsExecution) {
   EventQueue q;
   bool ran = false;
-  EventHandle h = q.schedule_at(10, [&]() { ran = true; });
-  EXPECT_TRUE(h.pending());
-  h.cancel();
-  EXPECT_FALSE(h.pending());
+  Timer t(q, [&]() { ran = true; });
+  t.arm(10);
+  EXPECT_TRUE(t.armed());
+  t.cancel();
+  EXPECT_FALSE(t.armed());
   q.run();
   EXPECT_FALSE(ran);
+  EXPECT_EQ(q.executed_events(), 0u);
 }
 
 TEST(EventQueue, CancelIsIdempotentAndSafeAfterFire) {
   EventQueue q;
   int runs = 0;
-  EventHandle h = q.schedule_at(1, [&]() { ++runs; });
+  Timer t(q, [&]() { ++runs; });
+  t.arm(1);
   q.run();
   EXPECT_EQ(runs, 1);
-  EXPECT_FALSE(h.pending());
-  h.cancel();  // after fire: no effect
-  h.cancel();
-  EventHandle inert;
-  inert.cancel();  // default-constructed: no effect
-  EXPECT_FALSE(inert.pending());
+  EXPECT_FALSE(t.armed());
+  t.cancel();  // after fire: no effect
+  t.cancel();
+  Timer never_armed(q, []() {});
+  never_armed.cancel();  // never armed: no effect
+  EXPECT_FALSE(never_armed.armed());
+  q.run();
+  EXPECT_EQ(runs, 1);
 }
 
 TEST(EventQueue, RunUntilStopsAndAdvancesClock) {
@@ -188,11 +200,12 @@ TEST(EventQueue, StepExecutesExactlyOne) {
 
 TEST(EventQueue, CountersTrackLiveAndExecuted) {
   EventQueue q;
-  auto h = q.schedule_at(1, []() {});
+  Timer t(q, []() {});
+  t.arm(1);
   q.schedule_at(2, []() {});
   EXPECT_EQ(q.pending_events(), 2u);
-  h.cancel();
-  // Cancellation is lazy: the slot still occupies the heap until popped.
+  t.cancel();
+  // The cancelled timer's entry occupies the heap until it surfaces.
   EXPECT_EQ(q.pending_events(), 2u);
   q.run();
   EXPECT_EQ(q.executed_events(), 1u);
@@ -215,59 +228,249 @@ TEST(EventQueue, RunUntilAdvancesToHorizonWhenDrainedEarly) {
 
 TEST(EventQueue, CancelledEventBeyondHorizonDoesNotAdvanceClock) {
   EventQueue q;
-  auto h = q.schedule_at(100, []() {});
-  h.cancel();
+  Timer t(q, []() {});
+  t.arm(100);
+  t.cancel();
   q.run_until(50);
-  // The cancelled entry may be reclaimed, but its (beyond-horizon) time
-  // must not leak into the clock.
+  // The cancelled entry's (beyond-horizon) time must not leak into the
+  // clock.
   EXPECT_EQ(q.now(), 50u);
   EXPECT_EQ(q.executed_events(), 0u);
-}
-
-TEST(EventQueue, HandleOutlivesQueue) {
-  EventHandle h;
-  {
-    EventQueue q;
-    h = q.schedule_at(5, []() {});
-    EXPECT_TRUE(h.pending());
-  }
-  // The queue is gone; the handle must degrade to inert, not dangle.
-  EXPECT_FALSE(h.pending());
-  h.cancel();
-}
-
-TEST(EventQueue, StaleHandleDoesNotTouchRecycledSlot) {
-  EventQueue q;
-  bool second_ran = false;
-  EventHandle stale = q.schedule_at(1, []() {});
-  q.run();  // slot reclaimed onto the free list
-  // The next event reuses the slot; the stale handle's generation no
-  // longer matches, so cancelling it must not kill the new occupant.
-  EventHandle fresh = q.schedule_at(2, [&]() { second_ran = true; });
-  EXPECT_FALSE(stale.pending());
-  stale.cancel();
-  EXPECT_TRUE(fresh.pending());
   q.run();
-  EXPECT_TRUE(second_ran);
+  EXPECT_EQ(q.now(), 50u);  // dropping it does not advance the clock
+  EXPECT_EQ(q.pending_events(), 0u);
+}
+
+TEST(EventQueue, TimerDestroyedWithPendingEntry) {
+  EventQueue q;
+  bool ran = false;
+  {
+    Timer t(q, [&]() { ran = true; });
+    t.arm(5);
+  }
+  // The timer is gone; its entry must be dropped, not dereferenced.
+  EXPECT_EQ(q.pending_events(), 1u);
+  q.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(q.executed_events(), 0u);
+  EXPECT_EQ(q.now(), 0u);
+}
+
+TEST(EventQueue, StaleEntryDoesNotTouchReusedSourceId) {
+  EventQueue q;
+  int second_runs = 0;
+  {
+    Timer stale(q, []() {});
+    stale.arm(1);
+  }
+  // The next timer takes the destroyed one's registry id; the entry left
+  // behind (due earlier) must neither fire it nor consume its deadline.
+  Timer fresh(q, [&]() { ++second_runs; });
+  fresh.arm(2);
+  q.run_until(1);
+  EXPECT_TRUE(fresh.armed());
+  EXPECT_EQ(q.now(), 1u);
+  q.run();
+  EXPECT_EQ(second_runs, 1);
+  EXPECT_EQ(q.executed_events(), 1u);
+  EXPECT_EQ(q.now(), 2u);
 }
 
 TEST(EventQueue, RtoStyleCancelRescheduleChurn) {
-  // TCP's RTO pattern: every ACK cancels the pending timer and re-arms
-  // it further out. Only the final arm may fire, and the slab must
-  // recycle slots rather than grow with the churn count.
+  // TCP's RTO pattern: every ACK re-arms the timer further out. Only the
+  // final arm may fire, and the heap must not grow with the churn count:
+  // a later re-arm pushes nothing.
   EventQueue q;
   int fires = 0;
-  EventHandle rto;
+  Timer rto(q, [&fires]() { ++fires; });
   for (int i = 0; i < 10000; ++i) {
     rto.cancel();
-    rto = q.schedule_at(static_cast<SimTime>(100 + i),
-                        [&fires]() { ++fires; });
+    rto.arm(static_cast<SimTime>(100 + i));
   }
+  EXPECT_EQ(q.pending_events(), 1u);
   q.run();
   EXPECT_EQ(fires, 1);
   EXPECT_EQ(q.executed_events(), 1u);
   EXPECT_EQ(q.now(), 100u + 9999u);
   EXPECT_EQ(q.pending_events(), 0u);
+}
+
+TEST(EventQueue, TimerLaterRearmReKeysWithoutRunningOrAdvancing) {
+  EventQueue q;
+  std::vector<SimTime> fired;
+  Timer t(q, [&]() { fired.push_back(q.now()); });
+  t.arm(10);
+  t.arm(30);  // later: the entry at 10 stays and is re-keyed there
+  EXPECT_EQ(q.pending_events(), 1u);
+  EXPECT_TRUE(q.step());  // skips the re-key, runs the event at 30
+  EXPECT_EQ(fired, (std::vector<SimTime>{30}));
+  EXPECT_EQ(q.executed_events(), 1u);
+  // run_until across the stale deadline: re-keying leaves the clock at
+  // the horizon, not at the entry's time.
+  t.arm(40);
+  t.arm(60);
+  q.run_until(50);
+  EXPECT_EQ(q.now(), 50u);
+  EXPECT_EQ(q.executed_events(), 1u);
+  EXPECT_TRUE(t.armed());
+  q.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{30, 60}));
+}
+
+TEST(EventQueue, TimerEarlierRearmPushesAndDropsSuperseded) {
+  EventQueue q;
+  std::vector<SimTime> fired;
+  Timer t(q, [&]() { fired.push_back(q.now()); });
+  t.arm(50);
+  t.arm(20);  // earlier: a new entry; the one at 50 is superseded
+  EXPECT_EQ(q.pending_events(), 2u);
+  q.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{20}));
+  EXPECT_EQ(q.executed_events(), 1u);  // the superseded entry is uncounted
+  EXPECT_EQ(q.now(), 20u);  // ... and never moves the clock
+  EXPECT_EQ(q.pending_events(), 0u);
+}
+
+TEST(EventQueue, TimerRearmsFromItsOwnCallback) {
+  EventQueue q;
+  std::vector<SimTime> fired;
+  Timer t(q, [&]() {
+    fired.push_back(q.now());
+    EXPECT_FALSE(t.armed());  // disarmed while its callback runs
+    if (fired.size() < 3) t.arm_in(5);
+  });
+  t.arm(1);
+  q.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{1, 6, 11}));
+  EXPECT_THROW(t.arm(3), std::invalid_argument);
+}
+
+TEST(EventQueue, LaneFiresFifoWithOneHeapEntry) {
+  EventQueue q;
+  std::vector<int> got;
+  Lane<int> lane(q, [&](const int& v) { got.push_back(v); });
+  for (int i = 0; i < 100; ++i) lane.push(static_cast<SimTime>(10 + i / 4)) = i;
+  EXPECT_EQ(q.pending_events(), 1u);
+  q.run_until(12);
+  EXPECT_EQ(got.size(), 12u);  // times 10, 11, 12: four each
+  q.run();
+  ASSERT_EQ(got.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
+  EXPECT_EQ(q.executed_events(), 100u);
+  EXPECT_EQ(q.peak_pending_events(), 1u);
+}
+
+// Same-timestamp ties across every kind of source: a queue driven through
+// lanes and timers must fire exactly the sequence a queue holding one
+// entry per event fires, with re-arm and cancel done by scheduling a new
+// one-shot and ignoring the old one (the per-event scheduler the lanes
+// and timers replace). Times are drawn from a handful of values so ties
+// are the common case.
+TEST(EventQueue, TiesMatchPerEventSchedulingAcrossLanesAndTimers) {
+  struct Run {
+    EventQueue q;
+    Rng rng{7};
+    std::vector<int> log;
+    std::vector<SimTime> times;
+    bool per_event;
+    std::uint64_t next_token = 1;
+    // Per-event model: the current arm's token per timer and the last
+    // pushed time per lane.
+    std::vector<std::uint64_t> token = std::vector<std::uint64_t>(3, 0);
+    std::vector<SimTime> lane_tail = std::vector<SimTime>(2, 0);
+    std::vector<std::unique_ptr<Lane<int>>> lanes;
+    std::vector<std::unique_ptr<Timer>> timers;
+
+    explicit Run(bool per_event_model) : per_event(per_event_model) {
+      for (int l = 0; l < 2; ++l) {
+        lanes.push_back(std::make_unique<Lane<int>>(
+            q, [this](const int& v) { record(v); }));
+      }
+      for (int t = 0; t < 3; ++t) {
+        timers.push_back(std::make_unique<Timer>(q, [this, t]() {
+          record(-1 - t);
+          act();
+        }));
+      }
+    }
+
+    void record(int value) {
+      log.push_back(value);
+      times.push_back(q.now());
+    }
+
+    void fire_timer(int t, std::uint64_t tok) {
+      if (token[static_cast<size_t>(t)] != tok) return;  // cancelled
+      token[static_cast<size_t>(t)] = 0;
+      record(-1 - t);
+      act();
+    }
+
+    void arm(int t, SimTime at) {
+      if (!per_event) {
+        timers[static_cast<size_t>(t)]->arm(at);
+        return;
+      }
+      const std::uint64_t tok = next_token++;
+      token[static_cast<size_t>(t)] = tok;
+      q.schedule_at(at, [this, t, tok]() { fire_timer(t, tok); });
+    }
+
+    void cancel(int t) {
+      if (per_event) {
+        token[static_cast<size_t>(t)] = 0;
+      } else {
+        timers[static_cast<size_t>(t)]->cancel();
+      }
+    }
+
+    void push_lane(int l, SimTime at, int value) {
+      SimTime& tail = lane_tail[static_cast<size_t>(l)];
+      tail = std::max(tail, at);
+      if (per_event) {
+        q.schedule_at(tail, [this, value]() { record(value); });
+      } else {
+        lanes[static_cast<size_t>(l)]->push(tail) = value;
+      }
+    }
+
+    // A random batch of operations, all at or just after now().
+    void act() {
+      const int n = static_cast<int>(rng.next_below(4));
+      for (int i = 0; i < n; ++i) {
+        const SimTime at = q.now() + rng.next_below(3) * 10;
+        const int value = static_cast<int>(rng.next_below(1000));
+        switch (rng.next_below(5)) {
+          case 0:
+            q.schedule_at(at, [this, value]() { record(value); });
+            break;
+          case 1:
+            push_lane(static_cast<int>(rng.next_below(2)), at, value);
+            break;
+          case 2:
+            cancel(static_cast<int>(rng.next_below(3)));
+            break;
+          default:  // arm later, earlier or equal: all from the same draw
+            arm(static_cast<int>(rng.next_below(3)), at);
+            break;
+        }
+      }
+    }
+
+    void drive() {
+      for (SimTime t = 0; t < 2000; t += 5) {
+        q.schedule_at(t, [this]() { act(); });
+      }
+      q.run();
+    }
+  };
+  Run sources(false);
+  Run per_event(true);
+  per_event.drive();
+  sources.drive();
+  EXPECT_GT(per_event.log.size(), 500u);
+  EXPECT_EQ(sources.log, per_event.log);
+  EXPECT_EQ(sources.times, per_event.times);
 }
 
 TEST(EventQueue, PeakPendingTracksHighWaterMark) {
@@ -281,26 +484,73 @@ TEST(EventQueue, PeakPendingTracksHighWaterMark) {
 }
 
 TEST(EventQueue, NoPerEventHeapAllocationInSteadyState) {
-  // The tentpole guarantee: once the slab/heap vectors have grown to the
-  // workload's footprint, scheduling and firing events performs zero heap
-  // allocation — no shared_ptr control block per event, and small
-  // captures stay in std::function's inline storage.
+  // Once the slab, heap and lane rings have grown to the workload's
+  // footprint, scheduling and firing events performs zero heap
+  // allocation: no per-event control block, small captures stay in
+  // std::function's inline storage, and timer re-arms push nothing.
   EventQueue q;
   std::uint64_t fired = 0;
-  // Warm-up: grow the slab/heap past anything the measured phase needs.
-  for (int i = 0; i < 1024; ++i) {
-    q.schedule_in(1, [&fired]() { ++fired; });
-  }
-  q.run();
-  const std::uint64_t before = g_heap_allocs.load();
-  for (int round = 0; round < 16; ++round) {
-    for (int i = 0; i < 512; ++i) {
+  Lane<std::uint64_t> lane(q, [&fired](const std::uint64_t& v) { fired += v; });
+  Timer rto(q, [&fired]() { ++fired; });
+  auto round_of = [&](int n) {
+    for (int i = 0; i < n; ++i) {
       q.schedule_in(1, [&fired]() { ++fired; });
+      lane.push(q.now() + 2) = 1;
+      rto.arm_in(static_cast<SimTime>(3 + i));
     }
     q.run();
-  }
+  };
+  // Warm-up: grow the slab/heap/ring past anything the measured phase
+  // needs.
+  round_of(1024);
+  const std::uint64_t before = g_heap_allocs.load();
+  for (int round = 0; round < 16; ++round) round_of(512);
   EXPECT_EQ(g_heap_allocs.load(), before);
-  EXPECT_EQ(fired, 1024u + 16u * 512u);
+  EXPECT_EQ(fired, 2u * (1024u + 16u * 512u) + 17u);
+}
+
+TEST(EventQueue, NoHeapAllocationPerPacketHop) {
+  // host -> OutputPort -> Link -> switch (ingress TAP) -> OutputPort
+  // (egress TAP) -> Link -> host: once every ring has grown to the
+  // traffic's backlog, a packet's trip allocates nothing.
+  struct CountingSink : net::MirrorSink {
+    std::uint64_t copies = 0;
+    void on_mirrored(const net::Packet&, net::MirrorPoint) override {
+      ++copies;
+    }
+  };
+  Simulation sim;
+  const net::Ipv4Address a = net::ipv4(10, 0, 0, 1);
+  const net::Ipv4Address b = net::ipv4(10, 0, 0, 2);
+  net::Host src(sim, "src", a);
+  net::Host dst(sim, "dst", b);
+  net::LegacySwitch sw("core");
+  net::Link up(sim, 1'000'000'000, units::microseconds(50));
+  net::Link down(sim, 100'000'000, units::microseconds(50));
+  net::OutputPort src_port(sim, 4 << 20, up);
+  net::OutputPort sw_port(sim, 4 << 20, down);
+  up.set_sink(sw);
+  down.set_sink(dst);
+  src.attach_uplink(src_port);
+  sw.route(b, sw.add_port(sw_port));
+  CountingSink monitor;
+  net::OpticalTapPair tap(sim, monitor);
+  tap.attach(sw, sw_port);
+  std::uint64_t received = 0;
+  dst.bind(net::Protocol::kUdp, 9, [&received](const net::Packet&) {
+    ++received;
+  });
+  const net::Packet pkt = net::make_udp_packet(a, b, 9, 9, 1000);
+  auto burst = [&](int n) {
+    for (int i = 0; i < n; ++i) src.send(pkt);
+    sim.run();
+  };
+  burst(1024);  // warm-up: grow queues, lanes and the heap
+  const std::uint64_t before = g_heap_allocs.load();
+  for (int round = 0; round < 16; ++round) burst(256);
+  EXPECT_EQ(g_heap_allocs.load(), before);
+  EXPECT_EQ(received, 1024u + 16u * 256u);
+  EXPECT_EQ(monitor.copies, 2u * received);
 }
 
 TEST(Simulation, EveryRepeatsUntilFalse) {
